@@ -104,14 +104,17 @@ pub trait IncView: Send + Sync {
     /// and logs (e.g. `"rpq"`, `"scc:communities"`).
     fn name(&self) -> &str;
 
-    /// An owned deep copy of this view behind a fresh box — the seam MVCC
-    /// snapshot publication relies on for copy-on-write: when a pinned
-    /// snapshot still shares a view's storage, the engine clones the view
-    /// once (here) before mutating it, so the pinned reader keeps serving
-    /// the frozen state. For every ordinary view the implementation is
-    /// one line: `Box::new(self.clone())` (derive `Clone`). The copy must
-    /// be answer-identical and independent — mutating the original must
-    /// never affect the clone.
+    /// An independent copy of this view behind a fresh box; it may share
+    /// immutable storage with the original. This is the seam MVCC snapshot
+    /// publication relies on for copy-on-write: when a pinned snapshot
+    /// still shares a view, the engine clones it once (here) before
+    /// mutating it, so the pinned reader keeps serving the frozen state.
+    /// For every ordinary view the implementation is one line:
+    /// `Box::new(self.clone())` (derive `Clone`). The copy must be
+    /// answer-identical and independent — mutating either one must never
+    /// affect the other. Storage shared chunk by chunk (such as
+    /// [`igc_graph::ChunkedVec`], which copies a chunk on its first
+    /// mutation) meets that contract and keeps the clone cheap.
     fn clone_view(&self) -> Box<dyn IncView>;
 
     /// Process a committed batch; `g` already reflects `delta`, and `delta`

@@ -24,8 +24,10 @@ use std::time::{Duration, Instant};
 /// engine still mutates it as if it owned it outright: every mutation
 /// goes through [`cow_view_mut`], which reclaims unique ownership in
 /// place when no snapshot pins the allocation (the common case — the
-/// store's pre-commit GC drops unpinned versions) and deep-clones via
-/// [`IncView::clone_view`] exactly once when a live pin does.
+/// store's pre-commit GC drops unpinned versions) and clones via
+/// [`IncView::clone_view`] exactly once when a live pin does. The big
+/// views share their per-node state chunk by chunk with that clone, so
+/// the commit then copies only the chunks it touches.
 struct Registered {
     label: Arc<str>,
     view: Arc<dyn IncView>,

@@ -73,7 +73,8 @@
 //! while commits keep flowing ([`Engine::snapshot_at`] pins a specific
 //! retained epoch). Publication is `Arc`-sharing, not copying: the first
 //! commit after a pin copy-on-writes exactly the shared pieces
-//! ([`IncView::clone_view`](igc_core::IncView::clone_view)), and a
+//! ([`IncView::clone_view`](igc_core::IncView::clone_view)), down to
+//! the chunks of per-node state it touches, and a
 //! pre-commit GC drops every unpinned version, so with no pins MVCC costs
 //! nothing and the retained window stays ≤ distinct pinned epochs + 1.
 //! Through the ingest front door, [`Ingest::snapshot`] pins versions

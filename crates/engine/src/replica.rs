@@ -641,8 +641,11 @@ impl Replica {
     ///
     /// Unlike the leader's [`Engine::snapshot`](crate::Engine::snapshot)
     /// (which `Arc`-shares published versions and costs nothing), a
-    /// replica snapshot deep-clones the graph and views *on this call* —
-    /// the reader pays, the tail loop never does. Look views up by label
+    /// replica snapshot clones the graph and views *on this call* — the
+    /// reader pays, the tail loop never does. The clones share the
+    /// chunked per-node state with the follower (see
+    /// [`igc_graph::ChunkedVec`]), so the next replayed batch copies only
+    /// the chunks it touches. Look views up by label
     /// ([`Snapshot::find`]) — replica snapshots carry no engine handles.
     pub fn snapshot(&self) -> Snapshot {
         let cells = self

@@ -23,9 +23,13 @@
 //! readers still hold its `Arc`), which in the common no-pins case restores
 //! unique ownership of the graph and every view — the commit then mutates
 //! fully in place and MVCC costs nothing on the hot path. While a pin *is*
-//! live, the first commit after it deep-clones exactly the shared pieces
-//! once ([`IncView::clone_view`]); the pinned reader keeps serving its
-//! frozen state, unaffected. Dropping the last `Snapshot` of a version
+//! live, the first commit after it clones exactly the shared pieces once
+//! ([`IncView::clone_view`], `Arc::make_mut` on the graph). Those clones
+//! are shallow where it matters: the graph's adjacency and the RPQ
+//! markings live in [`igc_graph::ChunkedVec`]s, so the clone copies one
+//! pointer per chunk and the commit then copies only the chunks it
+//! mutates. The pinned reader keeps serving its frozen state, unaffected.
+//! Dropping the last `Snapshot` of a version
 //! makes it collectable at the next commit, so the retained window is
 //! bounded by *distinct pinned epochs + 1* (the newest version is always
 //! kept) — never unbounded growth.
@@ -151,12 +155,21 @@ impl SnapshotStore {
     /// commit mutates in place), then mark the store mid-publish so
     /// newest-snapshot requests wait for the commit's own publish instead
     /// of pinning a version about to be superseded.
+    ///
+    /// Retired versions are unlinked under the mutex but freed after it is
+    /// released, so readers calling [`snapshot`](Self::snapshot) and friends
+    /// never wait on the deallocation. They are still freed before this
+    /// returns: the commit that follows relies on unique ownership.
     pub(crate) fn begin_commit(&self) {
         let start = Instant::now();
         let mut inner = self.lock();
         inner.publishing = true;
-        inner.versions.retain(|_, v| Arc::strong_count(v) > 1);
+        let retired: Vec<_> = inner
+            .versions
+            .extract_if(.., |_, v| Arc::strong_count(v) == 1)
+            .collect();
         drop(inner);
+        drop(retired);
         self.publish_nanos
             .fetch_add(start.elapsed().as_nanos() as u64, Ordering::Relaxed);
     }

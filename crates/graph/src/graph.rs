@@ -1,5 +1,6 @@
 //! The dynamic labelled directed graph.
 
+use crate::chunked::ChunkedVec;
 use crate::fxhash::{FxHashMap, FxHashSet};
 use crate::label::Label;
 use crate::node::NodeId;
@@ -16,11 +17,16 @@ pub type Edge = (NodeId, NodeId);
 /// propagate changes through *predecessors* (IncKWS, IncRPQ) as well as
 /// successors (IncSCC). Edge membership is O(1) via a hash set; `E` is a set,
 /// so parallel edges are not represented. Self-loops are allowed.
+///
+/// The adjacency lists live in [`ChunkedVec`]s, so a clone shares them
+/// chunk by chunk and a later mutation of either copy duplicates only the
+/// chunks it touches — what keeps a commit under a pinned MVCC snapshot
+/// from copying the whole graph.
 #[derive(Clone, Default)]
 pub struct DynamicGraph {
     labels: Vec<Label>,
-    out: Vec<Vec<NodeId>>,
-    inn: Vec<Vec<NodeId>>,
+    out: ChunkedVec<Vec<NodeId>>,
+    inn: ChunkedVec<Vec<NodeId>>,
     edges: FxHashSet<Edge>,
     by_label: FxHashMap<Label, Vec<NodeId>>,
     /// Version counter: the number of update transactions applied so far
@@ -40,8 +46,8 @@ impl DynamicGraph {
     pub fn with_capacity(nodes: usize, edges: usize) -> Self {
         let mut g = DynamicGraph {
             labels: Vec::with_capacity(nodes),
-            out: Vec::with_capacity(nodes),
-            inn: Vec::with_capacity(nodes),
+            out: ChunkedVec::with_capacity(nodes),
+            inn: ChunkedVec::with_capacity(nodes),
             edges: FxHashSet::default(),
             by_label: FxHashMap::default(),
             epoch: 0,
@@ -397,6 +403,34 @@ mod tests {
                 (NodeId(2), NodeId(0))
             ]
         );
+    }
+
+    #[test]
+    fn clone_is_independent_of_the_original() {
+        let edges: Vec<(u32, u32)> = (0..40).map(|i| (i, (i * 7 + 3) % 40)).collect();
+        let g = graph_from(&[0; 40], &edges);
+        let adjacency = |g: &DynamicGraph| -> Vec<(Vec<NodeId>, Vec<NodeId>)> {
+            g.nodes()
+                .map(|v| (g.successors(v).to_vec(), g.predecessors(v).to_vec()))
+                .collect()
+        };
+        let (adj, sorted) = (adjacency(&g), g.sorted_edges());
+        let mut c = g.clone();
+        c.apply_batch(&UpdateBatch::from_updates(vec![
+            Update::insert(NodeId(1), NodeId(2)),
+            Update::insert(NodeId(39), NodeId(45)),
+            Update::delete(NodeId(0), NodeId(3)),
+            Update::delete(NodeId(20), NodeId(23)),
+        ]));
+        assert_eq!(c.edge_count(), g.edge_count());
+        assert_ne!(adjacency(&c)[..40], adj[..]);
+        assert_eq!(adjacency(&g), adj);
+        assert_eq!(g.sorted_edges(), sorted);
+        assert_eq!(g.node_count(), 40);
+        assert_eq!((g.out_degree(NodeId(0)), g.in_degree(NodeId(3))), (1, 1));
+        assert_eq!((c.out_degree(NodeId(0)), c.in_degree(NodeId(3))), (0, 0));
+        assert!(g.contains_edge(NodeId(20), NodeId(23)));
+        assert!(!g.contains_edge(NodeId(1), NodeId(2)));
     }
 
     #[test]

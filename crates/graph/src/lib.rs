@@ -20,8 +20,11 @@
 //! * [`generator`] — seeded synthetic graph and workload generators standing
 //!   in for the paper's DBpedia / LiveJournal / synthetic datasets,
 //! * [`traversal`] — BFS/DFS and bounded shortest-distance helpers,
-//! * [`fxhash`] — a small Fx-style hasher for hot integer-keyed maps.
+//! * [`fxhash`] — a small Fx-style hasher for hot integer-keyed maps,
+//! * [`chunked`] — [`ChunkedVec`], the chunk-shared copy-on-write vector
+//!   behind per-node state that MVCC snapshots share between versions.
 
+pub mod chunked;
 pub mod fxhash;
 pub mod generator;
 pub mod graph;
@@ -31,6 +34,7 @@ pub mod node;
 pub mod traversal;
 pub mod update;
 
+pub use chunked::ChunkedVec;
 pub use fxhash::{FxHashMap, FxHashSet};
 pub use graph::{DynamicGraph, Edge};
 pub use label::{Label, LabelInterner};

@@ -32,11 +32,12 @@ impl KdistEntry {
     };
 }
 
-/// Keyword-distance lists for all nodes: `entries[v][i]` is
-/// `kdist(v)[ki]` for the i-th keyword of the query.
+/// Keyword-distance lists for all nodes, flattened node-major:
+/// `entries[v * m + i]` is `kdist(v)[ki]` for the i-th keyword of the
+/// query. One allocation, so a clone is a single memcpy.
 #[derive(Debug, Clone)]
 pub struct Kdist {
-    entries: Vec<Vec<KdistEntry>>,
+    entries: Vec<KdistEntry>,
     m: usize,
 }
 
@@ -44,7 +45,7 @@ impl Kdist {
     /// All-⊥ lists for `n` nodes and `m` keywords.
     pub fn bottom(n: usize, m: usize) -> Self {
         Kdist {
-            entries: vec![vec![KdistEntry::BOTTOM; m]; n],
+            entries: vec![KdistEntry::BOTTOM; n * m],
             m,
         }
     }
@@ -56,42 +57,45 @@ impl Kdist {
 
     /// Number of tracked nodes.
     pub fn node_count(&self) -> usize {
-        self.entries.len()
+        self.entries.len().checked_div(self.m).unwrap_or(0)
     }
 
     /// Grow to `n` nodes (new nodes start at ⊥).
     pub fn grow(&mut self, n: usize) {
-        if self.entries.len() < n {
-            self.entries.resize(n, vec![KdistEntry::BOTTOM; self.m]);
+        if self.entries.len() < n * self.m {
+            self.entries.resize(n * self.m, KdistEntry::BOTTOM);
         }
     }
 
     /// `kdist(v)[ki]`.
     #[inline]
     pub fn get(&self, v: NodeId, ki: usize) -> KdistEntry {
-        self.entries[v.index()][ki]
+        debug_assert!(ki < self.m, "keyword index {ki} out of range");
+        self.entries[v.index() * self.m + ki]
     }
 
     /// Overwrite `kdist(v)[ki]`.
     #[inline]
     pub fn set(&mut self, v: NodeId, ki: usize, e: KdistEntry) {
-        self.entries[v.index()][ki] = e;
+        debug_assert!(ki < self.m, "keyword index {ki} out of range");
+        self.entries[v.index() * self.m + ki] = e;
     }
 
     /// The full list for `v`.
     pub fn list(&self, v: NodeId) -> &[KdistEntry] {
-        &self.entries[v.index()]
+        let start = v.index() * self.m;
+        &self.entries[start..start + self.m]
     }
 
     /// True when all `m` distances of `v` are within `bound` — `v` roots a
     /// match.
     pub fn qualifies(&self, v: NodeId, bound: u32) -> bool {
-        self.entries[v.index()].iter().all(|e| e.dist <= bound)
+        self.list(v).iter().all(|e| e.dist <= bound)
     }
 
     /// The distance vector of `v` (for answer signatures).
     pub fn dists(&self, v: NodeId) -> Vec<u32> {
-        self.entries[v.index()].iter().map(|e| e.dist).collect()
+        self.list(v).iter().map(|e| e.dist).collect()
     }
 
     /// Follow `next` pointers from `root` for keyword `ki`, producing the
@@ -107,7 +111,7 @@ impl Kdist {
                 None => return path,
                 Some(n) => {
                     assert!(
-                        path.len() <= self.entries.len(),
+                        path.len() <= self.node_count(),
                         "next-pointer cycle at {cur:?}"
                     );
                     path.push(n);

@@ -813,6 +813,32 @@ mod tests {
     }
 
     #[test]
+    fn clone_view_is_independent_of_the_original() {
+        use igc_core::IncView;
+        use igc_graph::generator::{random_update_batch, uniform_graph};
+        let mut g = uniform_graph(80, 240, 3, 21);
+        let mut it = LabelInterner::new();
+        let q = Regex::parse("l0.(l1+l2)*.l2", &mut it).unwrap();
+        let inc = IncRpq::new(&g, &q);
+        let (marks, answer) = (inc.marking_signature(), inc.sorted_answer());
+        let mut copy = IncView::clone_view(&inc);
+        for round in 0..3 {
+            let delta = random_update_batch(&g, 30, 0.5, 40 + round);
+            g.apply_batch(&delta);
+            IncView::apply(copy.as_mut(), &g, &delta);
+        }
+        let copy = copy.as_any().downcast_ref::<IncRpq>().unwrap();
+        assert_matches_batch(copy, &g);
+        assert_ne!(
+            copy.marking_signature(),
+            marks,
+            "the batches changed the copy"
+        );
+        assert_eq!(inc.marking_signature(), marks);
+        assert_eq!(inc.sorted_answer(), answer);
+    }
+
+    #[test]
     fn randomized_unit_updates_match_batch_algorithm() {
         use igc_core::incremental::apply_one_by_one;
         use igc_graph::generator::{random_update_batch, uniform_graph};

@@ -16,7 +16,7 @@
 //! conservative trigger — an empty `mpre` marks the entry affected, and the
 //! potential recomputation scans all unaffected predecessors regardless.
 
-use igc_graph::{FxHashMap, NodeId};
+use igc_graph::{ChunkedVec, FxHashMap, NodeId};
 use igc_nfa::StateId;
 
 /// "No path" distance.
@@ -43,18 +43,20 @@ pub struct MarkEntry {
 }
 
 /// All markings, indexed node-major so that edge updates can enumerate the
-/// markings of an endpoint in output-linear time.
+/// markings of an endpoint in output-linear time. The per-node maps live in
+/// a [`ChunkedVec`], so a clone shares them and a later mutation copies only
+/// the chunk of nodes it touches.
 #[derive(Debug, Clone, Default)]
 pub struct Markings {
     /// `per_node[v]` maps `(source, state)` to the entry of `(source,v,state)`.
-    per_node: Vec<FxHashMap<(NodeId, StateId), MarkEntry>>,
+    per_node: ChunkedVec<FxHashMap<(NodeId, StateId), MarkEntry>>,
 }
 
 impl Markings {
     /// Empty markings over `n` nodes.
     pub fn new(n: usize) -> Self {
         Markings {
-            per_node: vec![FxHashMap::default(); n],
+            per_node: ChunkedVec::from_elem(FxHashMap::default(), n),
         }
     }
 
